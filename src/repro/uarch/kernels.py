@@ -1,23 +1,21 @@
-"""Execution-kernel backends for the cycle simulator.
+"""The cycle simulator's execution kernel and its timing oracle.
 
 A kernel owns the simulator's hot inner loop: one block activation's
 dataflow wake-up, operand routing, memory access, and commit
-bookkeeping (see :class:`repro.uarch.components.ExecutionKernel`).
-:class:`ScalarKernel` is the reference backend — the original
-closure-based event-driven loop, moved here verbatim from
-``CycleSimulator._execute_block`` so alternate backends (a vectorized
-wavefront scheduler, ROADMAP item 1) can be dropped in behind the same
-seam and checked bit-for-bit against it.
-
-Kernels are *performance* variants only: every backend must produce
-identical results and statistics for the same configuration.  The
-``repro perf`` suite benchmarks them against each other
-(``repro perf run --kernel-backend NAME``).
+bookkeeping (see :class:`ExecutionKernel`).
+:class:`BatchedKernel` is the kernel every :class:`CycleSimulator`
+runs.  :class:`ScalarKernel` is the reference implementation — the
+original closure-based event-driven loop — kept as the timing oracle:
+tests and ``tools/kernel_equivalence.py`` swap it in with
+``sim.kernel = ScalarKernel()`` and require bit-identical results,
+statistics, and trace events (``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import weakref
+from abc import ABC, abstractmethod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.interp import TrapError
 from repro.ir.types import wrap64
@@ -31,9 +29,26 @@ from repro.trips.functional import NULL_TOKEN, _BINOPS, _as_int, _compute
 from repro.trips.placement import Placement
 from repro.trips.regalloc import bank_of
 
-from repro.uarch.components import ExecutionKernel, KERNELS
-
 _EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
+
+
+class ExecutionKernel(ABC):
+    """The cycle simulator's inner issue/route/commit loop.
+
+    A kernel executes one block activation: dataflow wake-up, operand
+    routing through ``sim.opn``/``sim.topology``, loads/stores through
+    ``sim.hierarchy``, and the block's commit bookkeeping.  Not a
+    selectable component: every simulator runs :class:`BatchedKernel`,
+    and the seam exists so tests can swap in the reference
+    :class:`ScalarKernel` (``sim.kernel = ScalarKernel()``) and require
+    bit-identical results and statistics.
+    """
+
+    @abstractmethod
+    def execute_block(self, sim, block, placement,
+                      fetch_done: int) -> Tuple[object, int, int]:
+        """Execute one block on simulator ``sim``; returns
+        ``(exit_instruction, exit_time, done_time)``."""
 
 
 class _TimedBlock:
@@ -53,18 +68,14 @@ class _TimedBlock:
 
 
 class ScalarKernel(ExecutionKernel):
-    """The reference event-driven scalar backend.
+    """The reference event-driven kernel: the timing oracle.
 
     One Python-level event per operand delivery and per instruction
-    fire, with dataflow state held in per-activation lists.  This is
-    the original simulator inner loop — the correctness baseline all
-    other backends are differenced against.
+    fire, with dataflow state held in per-activation lists and every
+    static fact re-derived on every activation.  This is the original
+    simulator inner loop; :class:`BatchedKernel` is differenced against
+    it (``sim.kernel = ScalarKernel()``).
     """
-
-    name = "scalar"
-
-    def __init__(self, config=None) -> None:
-        self.config = config
 
     def execute_block(self, sim, block: TripsBlock, placement: Placement,
                       fetch_done: int) -> Tuple[TInst, int, int]:
@@ -356,7 +367,7 @@ class ScalarKernel(ExecutionKernel):
         done_time += load_flush_penalty
 
         # Statistics: composition and usage closure.
-        sim._account(block, state, used_feed, write_producers, n)
+        sim._account(block, state.fired, used_feed, write_producers, n)
         stats.blocks_committed += 1
         stats.fetched += n
         residency = max(1, done_time - dispatch_base)
@@ -366,11 +377,8 @@ class ScalarKernel(ExecutionKernel):
         return exit_taken, exit_time, done_time
 
 
-KERNELS.register("scalar", lambda config=None: ScalarKernel(config))
-
-
 # ---------------------------------------------------------------------------
-# Batched backend
+# Batched kernel
 # ---------------------------------------------------------------------------
 
 #: Instruction kind codes for the batched kernel's dispatch table.
@@ -384,12 +392,44 @@ _SLOT_OP0 = Slot.OP0
 _SLOT_OP1 = Slot.OP1
 
 
+def dispatch_offsets(n: int, bandwidth: int) -> List[int]:
+    """Per-instruction dispatch-cycle offsets: ``i // bandwidth``.
+
+    The kernel adds these to the activation's dispatch base; caching the
+    offsets makes the per-activation cost a single addition per fire.
+    """
+    return [i // bandwidth for i in range(n)]
+
+
+def initial_ready(need: Sequence[int],
+                  has_pred: Sequence[bool]) -> Tuple[int, ...]:
+    """Indices ready at dispatch: zero operands and no predicate guard.
+
+    Ascending order — the same order the scalar kernel seeds its ready
+    list in, which matters because the worklist is a LIFO.
+    """
+    return tuple(i for i, (count, pred) in enumerate(zip(need, has_pred))
+                 if count == 0 and not pred)
+
+
+def pow2_shift_mask(line_bytes: int,
+                    banks: int) -> Optional[Tuple[int, int]]:
+    """``(shift, mask)`` so that ``(addr >> shift) & mask`` equals
+    ``(addr // line_bytes) % banks``, or ``None`` when the geometry is
+    not a power of two and the division form must be kept."""
+    if line_bytes <= 0 or banks <= 0:
+        return None
+    if line_bytes & (line_bytes - 1) or banks & (banks - 1):
+        return None
+    return line_bytes.bit_length() - 1, banks - 1
+
+
 class _BlockStatics:
     """Per-label static decode of one block, cached by BatchedKernel.
 
     Everything here is a pure function of (block, placement, topology,
-    config): it is computed once per label — with numpy when available
-    (see :mod:`repro.uarch.vectors`) — and reused by every activation.
+    config): it is computed once per label and reused by every
+    activation.
     """
 
     __slots__ = ("placement", "n", "insts", "need", "pred_want", "kinds",
@@ -399,35 +439,25 @@ class _BlockStatics:
                  "exit_send", "has_senders")
 
 
-class _FiredView:
-    """Adapter giving ``CycleSimulator._account`` the one field it
-    reads from the scalar kernel's state object."""
-
-    __slots__ = ("fired",)
-
-    def __init__(self, fired: List[bool]) -> None:
-        self.fired = fired
-
-
 class BatchedKernel(ExecutionKernel):
-    """Throughput-optimized backend: skip-ahead timing + cached decode.
+    """The simulator's kernel: skip-ahead timing + cached decode.
 
     Produces bit-identical cycles, statistics, and trace events to
-    :class:`ScalarKernel` (the differential goldens pin this); the
-    speed comes from three mechanisms that cannot change any timing
-    decision:
+    :class:`ScalarKernel` (the differential tests and
+    ``tools/kernel_equivalence.py`` pin this); the speed comes from
+    three mechanisms that cannot change any timing decision:
 
-    * **event-driven skip-ahead** — at attach time every resource pool
-      (register ports, ET issue slots, OPN links, cache-bank ports,
-      DRAM channels) is swapped for interval-based
-      :class:`~repro.uarch.resources.SkipAheadPool` arbitration, which
-      jumps over a busy run of cycles in one bisect instead of probing
-      it cycle by cycle;
+    * **event-driven skip-ahead** — every resource pool the simulator
+      builds (register ports, ET issue slots, OPN links, cache-bank
+      ports, DRAM channels) is an interval-based
+      :class:`~repro.uarch.resources.SkipAheadPool`, which jumps over a
+      busy run of cycles in one bisect instead of probing it cycle by
+      cycle; this kernel additionally binds the register-port and
+      issue-slot ``claim`` methods once per simulator;
     * **static decode caching** — operand counts, predicate wants,
       dispatch offsets, tile coordinates, decoded target lists, and
-      latencies are computed once per block label (vectorized with
-      numpy when importable, pure Python otherwise) instead of on
-      every activation;
+      latencies are computed once per block label instead of on every
+      activation;
     * **cached operand routing** — deliveries go through
       :meth:`~repro.uarch.opn.OperandNetwork.send_cached`, which holds
       each (src, dst) route and its link resources materialized.
@@ -436,13 +466,13 @@ class BatchedKernel(ExecutionKernel):
     equivalence contract in detail.
     """
 
-    name = "batched"
-
-    def __init__(self, config=None) -> None:
-        self.config = config
-        self._attached_to = None
+    def __init__(self) -> None:
+        # Weak reference to the attached simulator: the simulator owns
+        # this kernel, so a strong back-reference would make every
+        # finished simulator (and its 16 MB functional memory) wait for
+        # a cyclic garbage collection.
+        self._attached_to: Optional[weakref.ref] = None
         self._statics: Dict[str, _BlockStatics] = {}
-        self._use_numpy = False
         self._bank_shift_mask = None
         self._rt_read_claims: Tuple = ()
         self._rt_write_claims: Tuple = ()
@@ -453,37 +483,18 @@ class BatchedKernel(ExecutionKernel):
         self._cls_from_dt = ("ET-DT", "DT-RT")
         self._cls_from_rt = ("ET-RT", "RT-RT")
 
-    # -- capabilities / wiring -------------------------------------------
-
-    def capabilities(self) -> Dict[str, bool]:
-        from repro.uarch.vectors import numpy_available
-        return {"vectorized": numpy_available(), "skip_ahead": True}
+    # -- wiring -----------------------------------------------------------
 
     def attach(self, sim) -> None:
-        """Swap in skip-ahead pools and precompute simulator-wide
-        tables.  Pools are only replaced while still empty, so calling
-        this on a simulator that already ran is safe (a no-op for the
-        pools, which then stay scalar but remain correct)."""
+        """Precompute simulator-wide tables and drop the decode cache.
+
+        Called on the first block this kernel executes for ``sim``.
+        """
         from repro.trips.regalloc import NUM_BANKS
         from repro.uarch.caches import L1DataBanks
-        from repro.uarch.resources import SkipAheadPool
-        from repro.uarch.vectors import numpy_available, pow2_shift_mask
 
-        self._attached_to = sim
+        self._attached_to = weakref.ref(sim)
         self._statics = {}
-        self._use_numpy = numpy_available()
-
-        for name in ("rt_read_ports", "rt_write_ports", "et_issue"):
-            if not getattr(sim, name).resources:
-                setattr(sim, name, SkipAheadPool())
-        if not sim.opn.links.resources:
-            sim.opn.links = SkipAheadPool()
-        for owner in (getattr(sim.hierarchy, "l1d", None),
-                      getattr(sim.hierarchy, "l2", None),
-                      getattr(sim.hierarchy, "dram", None)):
-            pool = getattr(owner, "_ports", None)
-            if pool is not None and not pool.resources:
-                owner._ports = SkipAheadPool()
 
         topology = sim.topology
         config = sim.config
@@ -556,7 +567,6 @@ class BatchedKernel(ExecutionKernel):
 
     def _build(self, sim, block: TripsBlock,
                placement: Placement) -> _BlockStatics:
-        from repro.uarch.vectors import dispatch_offsets, initial_ready
         topology = sim.topology
         insts = list(block.instructions)
         n = len(insts)
@@ -664,7 +674,8 @@ class BatchedKernel(ExecutionKernel):
 
     def execute_block(self, sim, block: TripsBlock, placement: Placement,
                       fetch_done: int) -> Tuple[TInst, int, int]:
-        if self._attached_to is not sim:
+        attached = self._attached_to
+        if attached is None or attached() is not sim:
             self.attach(sim)
         st = self._statics.get(block.label)
         if st is None or st.placement is not placement:
@@ -1078,8 +1089,7 @@ class BatchedKernel(ExecutionKernel):
             raise TrapError(f"{block_label}: no exit fired")
         done_time += load_flush_penalty
 
-        sim._account(block, _FiredView(fired), used_feed,
-                     write_producers, n)
+        sim._account(block, fired, used_feed, write_producers, n)
         stats.blocks_committed += 1
         stats.fetched += n
         residency = done_time - dispatch_base
@@ -1089,5 +1099,3 @@ class BatchedKernel(ExecutionKernel):
         stats.window_useful_cycles += residency * sim._last_useful
         return exit_taken, exit_time, done_time
 
-
-KERNELS.register("batched", lambda config=None: BatchedKernel(config))

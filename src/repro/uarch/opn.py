@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.uarch.resources import SkipAheadPool
+
 Coord = Tuple[int, int]
 
 
@@ -144,19 +146,16 @@ class OperandNetwork:
 
     def __init__(self, hop_cycles: int = 1, tracer=None,
                  topology=None) -> None:
-        from repro.uarch.resources import ResourcePool
         if topology is None:
             from repro.uarch.topologies import MeshTopology
             topology = MeshTopology()
         self.topology = topology
         self.hop_cycles = hop_cycles
-        self.links = ResourcePool()
+        self.links = SkipAheadPool()
         self.stats = OpnStats(classes=topology.traffic_classes,
                               hop_buckets=topology.hop_buckets)
         # (src, dst) -> ((link, resource), ...): materialized routes for
-        # the cached fast path (see send_cached).  Built lazily, so it
-        # always captures resources from the *current* links pool — the
-        # batched kernel swaps the pool before the first packet flows.
+        # the cached fast path (see send_cached), built lazily.
         self._route_cache: Dict[Tuple[Coord, Coord], tuple] = {}
         #: Optional :class:`repro.trace.Tracer`; ``None`` (the default)
         #: skips all event construction.

@@ -70,8 +70,10 @@ class SkipAheadResource:
     sorted disjoint runs ``[start, end)`` instead of a hash set.  A claim
     landing inside a busy run advances to the run's end in **one bisect**
     instead of walking it cycle by cycle; this is the event-driven
-    skip-ahead the batched kernel's contended resources (OPN links under
+    skip-ahead the simulator's contended resources (OPN links under
     operand bursts, DRAM channel occupancy) benefit from.
+    :class:`CycleResource` stays as the reference it is differenced
+    against claim by claim.
 
     The equivalence hinges on the pruning bookkeeping: ``count`` tracks
     the total claimed-cycle population (equal to the scalar set's size,
@@ -203,9 +205,9 @@ class ResourcePool:
 class SkipAheadPool(ResourcePool):
     """A :class:`ResourcePool` of interval-based skip-ahead resources.
 
-    Drop-in for :class:`ResourcePool` (the batched kernel swaps the
-    simulator's pools for these at attach time, before any claims
-    exist); every claim returns the same cycle the scalar pool would.
+    Drop-in for :class:`ResourcePool`: the cycle simulator, operand
+    network, and caches build these for every port and link, and every
+    claim returns the same cycle the set-based pool would.
     """
 
     __slots__ = ()

@@ -1,17 +1,20 @@
-"""Differential tests for the batched execution kernel.
+"""Differential tests for the simulator's execution kernel.
 
-The batched backend is a *performance* variant: every timing decision
-must be bit-identical to the scalar reference
-(:class:`repro.uarch.kernels.ScalarKernel`).  These tests pin that
-contract three ways — end-to-end cycle/stats equality on the golden
-benchmarks, trace-event-stream equality (skip-ahead may not reorder or
-retime a single event), and equality on the pure-Python fallback with
-numpy disabled (``REPRO_NO_NUMPY=1``).  The interval-based skip-ahead
-resource itself is differenced claim-by-claim against the scalar
-set-based resource, including across the pruning horizon.
+Every cycle simulator runs :class:`repro.uarch.kernels.BatchedKernel`;
+its timing decisions must be bit-identical to the reference
+:class:`repro.uarch.kernels.ScalarKernel`, which these tests swap in as
+the oracle (``sim.kernel = ScalarKernel()``).  The contract is pinned
+two ways — end-to-end cycle/stats equality on the golden benchmarks,
+and trace-event-stream equality (skip-ahead may not reorder or retime a
+single event).  ``tools/kernel_equivalence.py`` extends the first
+check to the whole compiled corpus.  The interval-based skip-ahead
+resource itself is differenced claim-by-claim against the set-based
+reference resource, including across the pruning horizon.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,13 +22,10 @@ from repro.bench import get
 from repro.opt import optimize
 from repro.trace import CollectingTracer
 from repro.trips import lower_module
-from repro.uarch import CycleSimulator, TripsConfig
+from repro.uarch import CycleSimulator, ScalarKernel, TripsConfig
+from repro.uarch.kernels import BatchedKernel, pow2_shift_mask
 from repro.uarch.resources import (
     _PRUNE_LIMIT, CycleResource, SkipAheadPool, SkipAheadResource,
-)
-from repro.uarch.vectors import (
-    bank_of_many, dispatch_offsets, get_numpy, initial_ready,
-    numpy_available, pow2_shift_mask,
 )
 
 #: Seed goldens (O2 + hyperblock formation) shared with the scalar
@@ -42,9 +42,19 @@ def _lowered(name):
                         formation="hyper")
 
 
-def _run(lowered, backend, tracer=None, **config_kw):
-    config = TripsConfig(kernel_backend=backend, **config_kw)
+#: Explicit prototype components, so the goldens hold when CI runs the
+#: suite under a REPRO_UARCH_COMPONENTS override.
+PROTOTYPE_COMPONENTS = dict(opn_topology="mesh", predictor_kind="tournament",
+                            memory_kind="trips")
+
+
+def _run(lowered, oracle=False, tracer=None, **config_kw):
+    """Run ``lowered`` on the simulator's kernel, or on the
+    :class:`ScalarKernel` oracle when ``oracle`` is set."""
+    config = TripsConfig(**{**PROTOTYPE_COMPONENTS, **config_kw})
     sim = CycleSimulator(lowered, config, tracer=tracer)
+    if oracle:
+        sim.kernel = ScalarKernel()
     result = sim.run()
     return result, sim
 
@@ -57,8 +67,8 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("bench", sorted(GOLDENS))
     def test_cycle_exact_vs_scalar(self, bench):
         lowered = _lowered(bench)
-        result_s, sim_s = _run(lowered, "scalar")
-        result_b, sim_b = _run(lowered, "batched")
+        result_s, sim_s = _run(lowered, oracle=True)
+        result_b, sim_b = _run(lowered)
         assert result_b == result_s
         assert (sim_b.stats.cycles, sim_b.stats.executed) == \
             GOLDENS[bench]
@@ -70,8 +80,8 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("bench", ["rspeed"])
     def test_opn_statistics_identical(self, bench):
         lowered = _lowered(bench)
-        _, sim_s = _run(lowered, "scalar")
-        _, sim_b = _run(lowered, "batched")
+        _, sim_s = _run(lowered, oracle=True)
+        _, sim_b = _run(lowered)
         scalar, batched = sim_s.opn.stats, sim_b.opn.stats
         assert batched.packets == scalar.packets
         assert batched.hops == scalar.hops
@@ -85,8 +95,8 @@ class TestGoldenEquivalence:
     ], ids=["torus", "perfect-l1", "predpred"])
     def test_equal_under_component_variants(self, overrides):
         lowered = _lowered("rspeed")
-        result_s, sim_s = _run(lowered, "scalar", **overrides)
-        result_b, sim_b = _run(lowered, "batched", **overrides)
+        result_s, sim_s = _run(lowered, oracle=True, **overrides)
+        result_b, sim_b = _run(lowered, **overrides)
         assert result_b == result_s
         assert vars(sim_b.stats) == vars(sim_s.stats)
 
@@ -98,8 +108,8 @@ class TestTraceEquivalence:
         # at the same cycle with the same payload.
         lowered = _lowered("rspeed")
         tracer_s, tracer_b = CollectingTracer(), CollectingTracer()
-        result_s, _ = _run(lowered, "scalar", tracer=tracer_s)
-        result_b, _ = _run(lowered, "batched", tracer=tracer_b)
+        result_s, _ = _run(lowered, oracle=True, tracer=tracer_s)
+        result_b, _ = _run(lowered, tracer=tracer_b)
         assert result_b == result_s
         events_s = [_event_key(e) for e in tracer_s.events]
         events_b = [_event_key(e) for e in tracer_b.events]
@@ -107,61 +117,46 @@ class TestTraceEquivalence:
         assert events_b == events_s
 
 
-class TestNumpyFallback:
-    def test_env_gate_disables_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert get_numpy() is None
-        assert not numpy_available()
+def _load_equivalence_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / \
+        "kernel_equivalence.py"
+    spec = importlib.util.spec_from_file_location("kernel_equivalence",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def test_pure_python_helpers_match_numpy(self, monkeypatch):
-        if get_numpy() is None:
-            pytest.skip("numpy not importable on this host")
-        need = [0, 1, 2, 0, 1, 0]
-        has_pred = [False, False, True, True, False, False]
-        with_np = initial_ready(need, has_pred)
-        offsets_np = dispatch_offsets(11, 4)
-        banks_np = bank_of_many([0, 64, 100, 4096], 64, 4)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert initial_ready(need, has_pred) == with_np
-        assert dispatch_offsets(11, 4) == offsets_np
-        assert bank_of_many([0, 64, 100, 4096], 64, 4) == banks_np
 
+class TestEquivalenceTool:
+    def test_agreeing_benchmark_passes(self, capsys):
+        tool = _load_equivalence_tool()
+        assert tool.main(["rspeed"]) == 0
+        assert "kernels equivalent on 1 benchmark" in capsys.readouterr().out
+
+    def test_mismatch_fails_naming_the_benchmark(self, capsys,
+                                                 monkeypatch):
+        real = BatchedKernel.execute_block
+
+        def one_cycle_late(self, sim, block, placement, fetch_done):
+            exit_inst, exit_time, done_time = real(
+                self, sim, block, placement, fetch_done)
+            return exit_inst, exit_time, done_time + 1
+
+        monkeypatch.setattr(BatchedKernel, "execute_block", one_cycle_late)
+        tool = _load_equivalence_tool()
+        assert tool.main(["crc", "rspeed"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: crc: cycle stats differ" in out
+        assert "rspeed" not in out
+
+
+class TestStaticHelpers:
     def test_pow2_shift_mask(self):
         shift, mask = pow2_shift_mask(64, 4)
         for address in (0, 63, 64, 100, 4096, 2**40 + 192):
             assert (address >> shift) & mask == (address // 64) % 4
         assert pow2_shift_mask(48, 4) is None
         assert pow2_shift_mask(64, 3) is None
-
-    def test_batched_golden_without_numpy(self, monkeypatch):
-        # The fallback is the default on CI (runners have no numpy);
-        # forcing it here proves the gate works where numpy *is*
-        # importable, and that the fallback is still cycle-exact.
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        lowered = _lowered("rspeed")
-        _, sim = _run(lowered, "batched")
-        assert (sim.stats.cycles, sim.stats.executed) == \
-            GOLDENS["rspeed"]
-        assert sim.kernel.capabilities() == \
-            {"vectorized": False, "skip_ahead": True}
-
-
-class TestCapabilities:
-    def test_scalar_reports_no_acceleration(self):
-        lowered = _lowered("rspeed")
-        _, sim = _run(lowered, "scalar")
-        assert sim.kernel.capabilities() == \
-            {"vectorized": False, "skip_ahead": False}
-
-    def test_config_show_prints_capabilities(self, capsys):
-        from repro.__main__ import main
-        assert main(["config", "show", "--config",
-                     "kernel_backend=batched"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel backend 'batched' capabilities" in out
-        assert "skip_ahead" in out
-        assert "vectorized" in out
-        assert "numpy available" in out
 
 
 class TestSkipAheadResource:

@@ -1,5 +1,8 @@
 """Cycle-level core and ideal-machine tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ir import run_module
@@ -25,6 +28,25 @@ class TestCycleCorrectness:
         module = branchy_module([6, -2, 9, -9, 3, 3, -7, 1])
         expected = run_module(module)[0]
         assert run_cycles(_lowered(module))[0] == expected
+
+
+class TestSimulatorLifetime:
+    def test_finished_simulator_freed_by_refcount(self):
+        # A long-lived process (repro serve) runs simulator after
+        # simulator; each holds a 16 MB functional memory.  A reference
+        # cycle would keep every finished one alive until a cyclic GC,
+        # so the collector stays off for the whole check.
+        lowered = _lowered(sum_of_squares_module(12))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _, sim = run_cycles(lowered)
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestCycleStatistics:
