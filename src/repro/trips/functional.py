@@ -5,8 +5,10 @@ Executes one block at a time with true dataflow semantics:
 * read instructions inject register values;
 * an instruction fires when its data operands have all arrived and, if
   predicated, its predicate operand arrived with the matching polarity;
-* memory operations respect load/store-ID order (a memory op waits until
-  every lower-ID *store* is resolved — fired, nullified, or mispredicated);
+* memory operations respect load/store-ID order: a load waits until every
+  lower-ID *store* is resolved (fired, nullified, or mispredicated) and
+  reads memory as patched by those stores; stores fire into a per-block
+  buffer and commit to memory in load/store-ID order with the block;
 * the block completes when one exit has fired, every register-write
   channel has a value, and every store ID is resolved; writes and the
   exit then commit atomically.
@@ -15,15 +17,18 @@ The simulator doubles as the measurement instrument for the paper's ISA
 evaluation (Section 4): per-block fetched/executed/useful/move counts,
 the executed-but-unused closure, storage-access counts, and the dynamic
 block trace consumed by the predictor study and the cycle-level model.
+Each committed block's firing record also goes to :meth:`_block_fired`,
+over which the ideal machine (:mod:`repro.uarch.ideal`) replays timing.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.interp import Memory, TrapError
-from repro.ir.types import to_unsigned64, wrap64
+from repro.ir.types import sign_extend, to_unsigned64, wrap64, zero_extend
 
 from repro.isa.asm import is_write_target, write_slot_of
 from repro.isa.block import TripsBlock, TripsProgram
@@ -82,7 +87,7 @@ class _BlockImage:
     """Precompiled per-block metadata reused across activations."""
 
     __slots__ = ("block", "need", "targets", "preds", "write_count",
-                 "store_lsids", "mem_order", "read_targets", "categories")
+                 "store_lsids", "read_targets", "categories")
 
     def __init__(self, block: TripsBlock) -> None:
         self.block = block
@@ -168,24 +173,28 @@ class TripsSimulator:
         pred_value: List[object] = [None] * n       # arrived predicate value
         fired = [False] * n
         mispredicated = [False] * n
-        parked_mem: List[int] = []
+        parked_loads: List[int] = []
         resolved_stores: Set[int] = set()
+        store_buffer: Dict[int, Tuple[int, object, TInst]] = {}
         write_values: Dict[int, object] = {}
         exit_taken: Optional[TInst] = None
+        # The firing record (see _block_fired).  Producers are instruction
+        # indices; register read k counts as producer n + k.
+        order: List[int] = []
         used_feed: List[List[int]] = [[] for _ in range(n)]  # consumer->producers
+        pred_from: Dict[int, int] = {}
+        addresses: Dict[int, int] = {}
         write_producers: Dict[int, int] = {}
         ready: List[int] = []
         arrived_count = [0] * n
 
         def deliver(value, targets, producer_index: int) -> None:
-            nonlocal exit_taken
             for target in targets:
                 stats.operands_delivered += 1
                 if is_write_target(target):
                     slot = write_slot_of(target)
                     write_values[slot] = value
-                    if producer_index >= 0:
-                        write_producers[slot] = producer_index
+                    write_producers[slot] = producer_index
                     continue
                 index = target.inst
                 if fired[index] or mispredicated[index]:
@@ -194,8 +203,8 @@ class TripsSimulator:
                     if pred_value[index] is None:
                         pred_value[index] = (1 if value else 0) \
                             if value is not NULL_TOKEN else 0
-                        if producer_index >= 0:
-                            used_feed[index].append(producer_index)
+                        used_feed[index].append(producer_index)
+                        pred_from[index] = producer_index
                         _check_ready(index)
                     continue
                 slots = operands[index]
@@ -205,8 +214,7 @@ class TripsSimulator:
                     continue  # predicated merge: first arrival wins
                 slots[target.slot] = value
                 arrived_count[index] += 1
-                if producer_index >= 0:
-                    used_feed[index].append(producer_index)
+                used_feed[index].append(producer_index)
                 _check_ready(index)
 
         def _check_ready(index: int) -> None:
@@ -224,6 +232,7 @@ class TripsSimulator:
                     mispredicated[index] = True
                     inst = block.instructions[index]
                     if inst.op is TOp.STORE:
+                        order.append(~index)
                         resolved_stores.add(inst.lsid)
                         _unpark()
                     return
@@ -238,29 +247,32 @@ class TripsSimulator:
             return True
 
         def _unpark() -> None:
-            # Re-enqueue parked memory ops; the main loop re-checks their
+            # Re-enqueue parked loads; the main loop re-checks their
             # store-ordering constraint (iterative to bound stack depth).
-            if parked_mem:
-                ready.extend(parked_mem)
-                parked_mem.clear()
+            if parked_loads:
+                ready.extend(parked_loads)
+                parked_loads.clear()
 
         def _fire(index: int) -> None:
             nonlocal exit_taken
             inst = block.instructions[index]
             fired[index] = True
+            order.append(index)
             stats.executed += 1
             op = inst.op
             slots = operands[index] or {}
             if op is TOp.LOAD:
                 stats.loads_executed += 1
                 address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                value = self._load(address, inst)
+                addresses[index] = address
+                value = _buffered_load(self.memory, address, inst,
+                                       store_buffer)
                 deliver(value, image.targets[index], index)
             elif op is TOp.STORE:
                 stats.stores_committed += 1
                 address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                value = slots[Slot.OP1]
-                self._store(address, value, inst)
+                addresses[index] = address
+                store_buffer[inst.lsid] = (address, slots[Slot.OP1], inst)
                 resolved_stores.add(inst.lsid)
                 _unpark()
             elif op is TOp.NULL:
@@ -286,8 +298,9 @@ class TripsSimulator:
         # Inject register reads.
         stats.reads_fetched += len(block.reads)
         stats.register_reads += len(block.reads)
-        for read, targets in zip(block.reads, image.read_targets):
-            deliver(self.regs[read.reg], targets, -1)
+        for k, (read, targets) in enumerate(zip(block.reads,
+                                                image.read_targets)):
+            deliver(self.regs[read.reg], targets, n + k)
 
         # GENI/GENF and other zero-operand instructions are ready at fetch.
         for index in range(n):
@@ -295,7 +308,6 @@ class TripsSimulator:
                     and not fired[index]:
                 ready.append(index)
 
-        steps = 0
         while True:
             while ready:
                 index = ready.pop()
@@ -303,12 +315,11 @@ class TripsSimulator:
                     continue
                 inst = block.instructions[index]
                 self.fuel -= 1
-                steps += 1
                 if self.fuel <= 0:
                     raise TrapError("out of fuel")
-                if inst.op in (TOp.LOAD, TOp.STORE) \
+                if inst.op is TOp.LOAD \
                         and not _stores_resolved_below(inst.lsid):
-                    parked_mem.append(index)
+                    parked_loads.append(index)
                     continue
                 _fire(index)
             if self._block_complete(image, exit_taken, write_values,
@@ -319,12 +330,16 @@ class TripsSimulator:
                 f"writes {len(write_values)}/{image.write_count}, "
                 f"stores {len(resolved_stores)}/{len(image.store_lsids)}")
 
-        # Commit: register writes.
+        # Commit: register writes, then buffered stores in load/store-ID
+        # order.
         for slot, write in enumerate(block.writes):
             value = write_values[slot]
             if value is not NULL_TOKEN:
                 self.regs[write.reg] = value
             stats.register_writes += 1
+        for lsid in sorted(store_buffer):
+            address, value, inst = store_buffer[lsid]
+            self._store(address, value, inst)
         stats.writes_committed += len(block.writes)
         stats.blocks_committed += 1
         stats.fetched += n
@@ -332,9 +347,26 @@ class TripsSimulator:
         stats.per_block_fetch_count[block.label] = \
             stats.per_block_fetch_count.get(block.label, 0) + 1
 
-        self._account_usage(image, fired, used_feed, write_producers,
-                            exit_taken, write_values)
+        self._account_usage(image, fired, used_feed, write_producers)
+        self._block_fired(image, order, used_feed, pred_from, addresses,
+                          write_producers)
         return exit_taken
+
+    def _block_fired(self, image: _BlockImage, order: List[int],
+                     used_feed: List[List[int]], pred_from: Dict[int, int],
+                     addresses: Dict[int, int],
+                     write_producers: Dict[int, int]) -> None:
+        """Hook called with each committed block's firing record.
+
+        ``order`` lists fired instruction indices in firing order, with
+        ``~i`` where store ``i`` resolved by mispredication.  Producers in
+        ``used_feed`` (per consumer: each operand's and the predicate's
+        supplier, first arrival winning), ``pred_from`` (the predicate's
+        supplier) and ``write_producers`` (per write slot: the last
+        supplier) are instruction indices, or ``n + k`` for the block's
+        register read ``k``.  ``addresses`` maps each fired load and store
+        to its effective address.  The functional run needs none of it.
+        """
 
     def _block_complete(self, image, exit_taken, write_values,
                         resolved_stores) -> bool:
@@ -347,8 +379,8 @@ class TripsSimulator:
                 return False
         return True
 
-    def _account_usage(self, image, fired, used_feed, write_producers,
-                       exit_taken, write_values) -> None:
+    def _account_usage(self, image, fired, used_feed,
+                       write_producers) -> None:
         """Classify fired instructions into useful / move / unused."""
         block = image.block
         stats = self.stats
@@ -362,14 +394,15 @@ class TripsSimulator:
             if op is TOp.STORE or op is TOp.NULL or op in _EXIT_SET:
                 used[index] = True
                 worklist.append(index)
+        # Producers n and up are register reads, which need no marking.
         for producer in write_producers.values():
-            if not used[producer]:
+            if producer < n and not used[producer]:
                 used[producer] = True
                 worklist.append(producer)
         while worklist:
             index = worklist.pop()
             for producer in used_feed[index]:
-                if not used[producer]:
+                if producer < n and not used[producer]:
                     used[producer] = True
                     worklist.append(producer)
 
@@ -391,11 +424,6 @@ class TripsSimulator:
 
     # -- memory helpers -----------------------------------------------------------
 
-    def _load(self, address: int, inst: TInst):
-        if inst.is_float:
-            return self.memory.load_float(address)
-        return self.memory.load_int(address, inst.width, inst.signed)
-
     def _store(self, address: int, value, inst: TInst) -> None:
         if isinstance(value, float):
             self.memory.store_float(address, value)
@@ -407,6 +435,53 @@ def _as_int(value) -> int:
     if value is NULL_TOKEN:
         return 0
     return int(value)
+
+
+def _overlap(addr_a: int, width_a: int, addr_b: int, width_b: int) -> bool:
+    return addr_a < addr_b + width_b and addr_b < addr_a + width_a
+
+
+def _buffered_load(memory: Memory, address: int, inst: TInst,
+                   store_buffer: Dict[int, Tuple[int, object, TInst]],
+                   with_supplier: bool = False):
+    """Read a value as seen past a block's in-flight store buffer.
+
+    ``store_buffer`` maps load/store ID to ``(address, value, store)``.
+    Reconstructs the load's bytes from memory patched with every buffered
+    store whose load/store ID precedes the load, without committing the
+    stores (they commit in order at block completion).  With
+    ``with_supplier``, returns ``(value, lsid of the youngest store that
+    supplied bytes, or -1)``.
+    """
+    overlapping = [
+        lsid for lsid, (a, _v, si) in store_buffer.items()
+        if lsid < inst.lsid and _overlap(address, inst.width, a, si.width)
+    ] if store_buffer else None
+    if not overlapping:
+        if inst.is_float:
+            value = memory.load_float(address)
+        else:
+            value = memory.load_int(address, inst.width, inst.signed)
+        return (value, -1) if with_supplier else value
+    overlapping.sort()
+    data = bytearray(memory.read_bytes(address, inst.width))
+    for lsid in overlapping:
+        saddr, svalue, sinst = store_buffer[lsid]
+        if isinstance(svalue, float):
+            payload = struct.pack("<d", svalue)
+        else:
+            payload = (int(svalue) & ((1 << (sinst.width * 8)) - 1)) \
+                .to_bytes(sinst.width, "little")
+        lo = max(address, saddr)
+        hi = min(address + inst.width, saddr + sinst.width)
+        data[lo - address:hi - address] = payload[lo - saddr:hi - saddr]
+    if inst.is_float:
+        value = struct.unpack("<d", bytes(data))[0]
+    else:
+        raw = int.from_bytes(bytes(data), "little")
+        value = sign_extend(raw, inst.width) if inst.signed \
+            else zero_extend(raw, inst.width)
+    return (value, overlapping[-1]) if with_supplier else value
 
 
 _EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})

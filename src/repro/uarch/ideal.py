@@ -10,9 +10,11 @@ inter-tile delays; only two costs remain:
 
 Memory disambiguation is perfect: a load depends only on its address
 operand and the *actual* latest store to the same location.  The model
-executes the program functionally while computing, per instruction, the
-dataflow-critical-path time, then schedules blocks under the dispatch and
-window constraints.
+does not execute anything itself.  The functional engine
+(:class:`~repro.trips.functional.TripsSimulator`) runs the program, and
+after each committed block this module replays the block's firing
+record to time every instruction on its dataflow critical path, then
+schedules blocks under the dispatch and window constraints.
 """
 
 from __future__ import annotations
@@ -21,17 +23,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.interp import Memory, TrapError
-from repro.ir.types import wrap64
+from repro.ir.interp import TrapError
 
-from repro.isa.asm import is_write_target, write_slot_of
 from repro.isa.block import TripsProgram
-from repro.isa.instructions import Slot, TInst, TOp, TRIPS_LATENCY, operand_count
+from repro.isa.instructions import TRIPS_LATENCY, TOp
 
-from repro.trips.functional import NULL_TOKEN, _as_int, _compute
-from repro.uarch.core import _buffered_load
-
-_EXIT_SET = frozenset({TOp.BRO, TOp.CALLO, TOp.RET})
+from repro.trips.functional import _EXIT_SET, TripsSimulator, _BlockImage
 
 #: Load-use latency under perfect caching.
 PERFECT_LOAD_CYCLES = 1
@@ -48,8 +45,103 @@ class IdealStats:
         return self.executed / self.cycles if self.cycles else 0.0
 
 
+class _TimedEngine(TripsSimulator):
+    """The functional engine, timing each committed block on the ideal
+    machine."""
+
+    def __init__(self, program: TripsProgram, memory_size: int,
+                 window: int, dispatch_cost: int, max_blocks: int) -> None:
+        super().__init__(program, memory_size)
+        self.window = window
+        self.dispatch_cost = dispatch_cost
+        self.max_blocks = max_blocks
+        self.timing = IdealStats()
+        self.reg_time: List[int] = [0] * 128
+        self.store_time: Dict[int, int] = {}   # address -> availability
+        self.in_flight: deque = deque()        # (completion time, size)
+        self.in_flight_insts = 0
+        self.start = 0                         # next block's dispatch
+        self._statics: Dict[_BlockImage, Tuple[list, list, list]] = {}
+
+    def _block_fired(self, image, order, used_feed, pred_from, addresses,
+                     write_producers) -> None:
+        timing = self.timing
+        if timing.blocks >= self.max_blocks:
+            raise TrapError("ideal simulation exceeded block budget")
+        block = image.block
+        statics = self._statics.get(image)
+        if statics is None:
+            statics = self._statics[image] = (
+                [inst.op for inst in block.instructions],
+                [TRIPS_LATENCY.get(inst.op, 1)
+                 for inst in block.instructions],
+                [inst.lsid for inst in block.instructions])
+        ops, latency, lsids = statics
+        size = len(ops)
+
+        # Window constraint: pop completed blocks; if the window is still
+        # full, wait for the oldest to finish.
+        in_flight = self.in_flight
+        while in_flight and self.in_flight_insts + size > self.window:
+            completion, old_size = in_flight.popleft()
+            self.in_flight_insts -= old_size
+            self.start = max(self.start, completion)
+        start = self.start
+
+        # ready_at[p]: when producer p's result is available.
+        reg_time = self.reg_time
+        ready_at = [0] * size + [max(start, reg_time[read.reg])
+                                 for read in block.reads]
+        store_time = self.store_time
+        resolved: Dict[int, int] = {}
+        exit_time = start
+        executed = 0
+        for index in order:
+            if index < 0:
+                index = ~index     # mispredicated store
+                resolved[lsids[index]] = ready_at[pred_from[index]]
+                continue
+            executed += 1
+            issue = start
+            for producer in used_feed[index]:
+                if ready_at[producer] > issue:
+                    issue = ready_at[producer]
+            op = ops[index]
+            if op is TOp.LOAD:
+                # Perfect disambiguation: wait only for the true producer.
+                word = addresses[index] // 8 * 8
+                ready_at[index] = max(issue, store_time.get(word, start)) \
+                    + PERFECT_LOAD_CYCLES
+            elif op is TOp.STORE:
+                store_time[addresses[index] // 8 * 8] = issue + 1
+                resolved[lsids[index]] = issue + 1
+            elif op is TOp.NULL:
+                ready_at[index] = issue
+                if lsids[index] >= 0:
+                    resolved[lsids[index]] = issue
+            elif op in _EXIT_SET:
+                exit_time = issue
+            else:
+                ready_at[index] = issue + latency[index]
+
+        completion = exit_time
+        for slot, write in enumerate(block.writes):
+            when = ready_at[write_producers[slot]]
+            reg_time[write.reg] = when
+            completion = max(completion, when)
+        for lsid in image.store_lsids:
+            completion = max(completion, resolved[lsid])
+
+        in_flight.append((completion, size))
+        self.in_flight_insts += size
+        timing.blocks += 1
+        timing.executed += executed
+        timing.cycles = max(timing.cycles, completion)
+        self.start = start + self.dispatch_cost
+
+
 class IdealSimulator:
-    """Dataflow-limit executor with a window and a dispatch cost."""
+    """Dataflow-limit timing with a window and a dispatch cost."""
 
     def __init__(self, program: TripsProgram, window: int = 1024,
                  dispatch_cost: int = 8,
@@ -65,239 +157,13 @@ class IdealSimulator:
             raise ConfigError(
                 f"ideal dispatch_cost must be an int >= 0, got "
                 f"{dispatch_cost!r}")
-        self.program = program
-        self.window = window
-        self.dispatch_cost = dispatch_cost
-        self.memory = Memory(memory_size)
-        self.stats = IdealStats()
-        self.max_blocks = max_blocks
-        self.regs: List[object] = [0] * 128
-        self.reg_time: List[int] = [0] * 128
-        self.store_time: Dict[int, int] = {}   # address -> availability
-        for address, payload in program.globals_image:
-            self.memory.write_bytes(address, payload)
+        self._engine = _TimedEngine(program, memory_size, window,
+                                    dispatch_cost, max_blocks)
+        self.stats = self._engine.timing
 
     def run(self, entry: str = "main",
             args: Optional[List[object]] = None):
-        self.regs[1] = self.memory.size - 64
-        for i, arg in enumerate(args or []):
-            self.regs[3 + i] = arg
-
-        func_name = entry
-        label = self.program.function(entry).entry
-        call_stack: List[Tuple[str, str]] = []
-        in_flight: deque = deque()    # (completion time, size)
-        in_flight_insts = 0
-        start = 0
-
-        while True:
-            if self.stats.blocks >= self.max_blocks:
-                raise TrapError("ideal simulation exceeded block budget")
-            block = self.program.function(func_name).blocks[label]
-            size = len(block.instructions)
-
-            # Window constraint: pop completed blocks; if the window is
-            # still full, wait for the oldest to finish.
-            while in_flight and in_flight_insts + size > self.window:
-                completion, old_size = in_flight.popleft()
-                in_flight_insts -= old_size
-                start = max(start, completion)
-
-            exit_inst, completion = self._execute_block(block, start)
-            in_flight.append((completion, size))
-            in_flight_insts += size
-            self.stats.blocks += 1
-            self.stats.cycles = max(self.stats.cycles, completion)
-            start = start + self.dispatch_cost
-
-            op = exit_inst.op
-            if op is TOp.BRO:
-                label = exit_inst.label
-            elif op is TOp.CALLO:
-                call_stack.append((func_name, exit_inst.cont))
-                func_name = exit_inst.label
-                label = self.program.function(func_name).entry
-            else:
-                if not call_stack:
-                    return self.regs[3]
-                func_name, label = call_stack.pop()
-
-    def _execute_block(self, block, start: int) -> Tuple[TInst, int]:
-        n = len(block.instructions)
-        need = [operand_count(i.op) for i in block.instructions]
-        preds = [i.predicate for i in block.instructions]
-        values: List[Optional[Dict[Slot, object]]] = [None] * n
-        times: List[Optional[Dict[Slot, int]]] = [None] * n
-        pred_val: List[object] = [None] * n
-        pred_time = [0] * n
-        arrived = [0] * n
-        fired = [False] * n
-        mispredicated = [False] * n
-        parked: List[int] = []
-        resolved_stores: Dict[int, int] = {}
-        store_buffer: Dict[int, Tuple[int, object, TInst]] = {}
-        store_lsids = sorted(block.store_lsids)
-        write_values: Dict[int, Tuple[object, int]] = {}
-        exit_taken: Optional[TInst] = None
-        exit_time = start
-        ready: List[int] = []
-
-        def deliver(value, when, targets) -> None:
-            nonlocal exit_taken, exit_time
-            for target in targets:
-                if is_write_target(target):
-                    write_values[write_slot_of(target)] = (value, when)
-                    continue
-                index = target.inst
-                if fired[index] or mispredicated[index]:
-                    continue
-                if target.slot is Slot.PRED:
-                    if pred_val[index] is None:
-                        pred_val[index] = (
-                            1 if value and value is not NULL_TOKEN else 0)
-                        pred_time[index] = when
-                        check_ready(index)
-                    continue
-                slots = values[index]
-                if slots is None:
-                    slots = values[index] = {}
-                    times[index] = {}
-                if target.slot in slots:
-                    continue
-                slots[target.slot] = value
-                times[index][target.slot] = when
-                arrived[index] += 1
-                check_ready(index)
-
-        def check_ready(index: int) -> None:
-            if fired[index] or mispredicated[index]:
-                return
-            if arrived[index] < need[index]:
-                return
-            predicate = preds[index]
-            if predicate is not None:
-                got = pred_val[index]
-                if got is None:
-                    return
-                wanted = 1 if predicate == "T" else 0
-                if got != wanted:
-                    mispredicated[index] = True
-                    inst = block.instructions[index]
-                    if inst.op is TOp.STORE:
-                        resolved_stores[inst.lsid] = pred_time[index]
-                        unpark()
-                    return
-            ready.append(index)
-
-        def stores_resolved_below(lsid: int) -> bool:
-            for s in store_lsids:
-                if s >= lsid:
-                    return True
-                if s not in resolved_stores:
-                    return False
-            return True
-
-        def unpark() -> None:
-            if parked:
-                ready.extend(parked)
-                parked.clear()
-
-        def fire(index: int) -> None:
-            nonlocal exit_taken, exit_time
-            inst = block.instructions[index]
-            slots = values[index] or {}
-            when = start
-            for t in (times[index] or {}).values():
-                when = max(when, t)
-            if preds[index] is not None:
-                when = max(when, pred_time[index])
-            op = inst.op
-            latency = TRIPS_LATENCY.get(op, 1)
-            fired[index] = True
-            self.stats.executed += 1
-
-            if op is TOp.LOAD:
-                if not stores_resolved_below(inst.lsid):
-                    fired[index] = False
-                    self.stats.executed -= 1
-                    parked.append(index)
-                    return
-                address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                value = _buffered_load(self.memory, address, inst,
-                                       store_buffer)
-                # Perfect disambiguation: wait only for the true producer.
-                when = max(when, self.store_time.get(
-                    address // 8 * 8, start))
-                deliver(value, when + PERFECT_LOAD_CYCLES,
-                        inst.targets)
-                return
-            if op is TOp.STORE:
-                address = wrap64(_as_int(slots[Slot.OP0]) + inst.imm)
-                store_buffer[inst.lsid] = (address, slots[Slot.OP1], inst)
-                done = when + 1
-                self.store_time[address // 8 * 8] = done
-                resolved_stores[inst.lsid] = done
-                unpark()
-                return
-            if op is TOp.NULL:
-                if inst.lsid >= 0:
-                    resolved_stores[inst.lsid] = when
-                    unpark()
-                deliver(NULL_TOKEN, when, inst.targets)
-                return
-            if op in _EXIT_SET:
-                if exit_taken is None:
-                    exit_taken = inst
-                    exit_time = when
-                return
-            value = _compute(op, inst, slots)
-            deliver(value, when + latency, inst.targets)
-
-        for read in block.reads:
-            when = max(start, self.reg_time[read.reg])
-            deliver(self.regs[read.reg], when, read.targets)
-        for index in range(n):
-            if need[index] == 0 and preds[index] is None:
-                ready.append(index)
-
-        guard = 0
-        while ready:
-            index = ready.pop()
-            if fired[index] or mispredicated[index]:
-                continue
-            guard += 1
-            if guard > 40 * n + 1000:
-                raise TrapError(f"{block.label}: ideal livelock")
-            fire(index)
-
-        completion = exit_time
-        for slot, write in enumerate(block.writes):
-            if slot not in write_values:
-                raise TrapError(f"{block.label}: write w{slot} missing")
-            value, when = write_values[slot]
-            if value is not NULL_TOKEN:
-                self.regs[write.reg] = value
-            self.reg_time[write.reg] = when
-            completion = max(completion, when)
-        for lsid in store_lsids:
-            completion = max(completion, resolved_stores[lsid])
-        for lsid in sorted(store_buffer):
-            address, value, inst = store_buffer[lsid]
-            self._store_value(address, value, inst)
-        if exit_taken is None:
-            raise TrapError(f"{block.label}: no exit fired")
-        return exit_taken, completion
-
-    def _load_value(self, address: int, inst: TInst):
-        if inst.is_float:
-            return self.memory.load_float(address)
-        return self.memory.load_int(address, inst.width, inst.signed)
-
-    def _store_value(self, address: int, value, inst: TInst) -> None:
-        if isinstance(value, float):
-            self.memory.store_float(address, value)
-        else:
-            self.memory.store_int(address, inst.width, _as_int(value))
+        return self._engine.run(entry, args)
 
 
 def run_ideal(program: TripsProgram, entry: str = "main",

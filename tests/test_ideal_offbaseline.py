@@ -7,10 +7,15 @@ IPC, free dispatch may never lose IPC, and out-of-domain parameters
 fail loudly instead of simulating garbage.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.bench import get
 from repro.ir import run_module
 from repro.opt import optimize
+from repro.pipeline import VARIANT_LEVEL
 from repro.trips import lower_module
 from repro.uarch import ConfigError, run_ideal
 from repro.uarch.ideal import IdealSimulator
@@ -18,6 +23,10 @@ from repro.uarch.ideal import IdealSimulator
 from tests.util import branchy_module, sum_of_squares_module
 
 WINDOW_LADDER = [64, 256, 1024, 8192, 128 * 1024]
+
+#: IdealStats of every Figure 10 program at its three configurations
+#: (``tools/kernel_equivalence.py`` checks the whole file).
+FIG10_GOLDENS = Path(__file__).parent / "data" / "ideal_fig10.json"
 
 
 def _program(module, level="O2"):
@@ -84,3 +93,17 @@ class TestParameterValidation:
     def test_minimum_legal_parameters_run(self, programs):
         result, sim = run_ideal(programs[0], window=1, dispatch_cost=0)
         assert sim.stats.cycles > 0
+
+
+class TestFig10Goldens:
+    @pytest.mark.parametrize("name", ["vadd", "a2time", "rspeed"])
+    def test_stats_match_golden(self, name):
+        goldens = json.loads(FIG10_GOLDENS.read_text())
+        for variant, level in VARIANT_LEVEL.items():
+            program = lower_module(optimize(get(name).module(), level),
+                                   formation="hyper").program
+            for config, expected in goldens[f"{name}/{variant}"].items():
+                window, dispatch_cost = map(int, config.split("/"))
+                _, sim = run_ideal(program, window=window,
+                                   dispatch_cost=dispatch_cost)
+                assert vars(sim.stats) == expected, (variant, config)

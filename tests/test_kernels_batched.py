@@ -149,6 +149,22 @@ class TestEquivalenceTool:
         assert "FAIL: crc: cycle stats differ" in out
         assert "rspeed" not in out
 
+    def test_ideal_golden_mismatch_fails(self, capsys, monkeypatch):
+        from repro.uarch import ideal
+
+        real = ideal._TimedEngine._block_fired
+
+        def one_extra_block(self, *record):
+            real(self, *record)
+            self.timing.blocks += 1
+
+        monkeypatch.setattr(ideal._TimedEngine, "_block_fired",
+                            one_extra_block)
+        tool = _load_equivalence_tool()
+        assert tool.main(["rspeed"]) == 1
+        assert "FAIL: rspeed: ideal compiled 1024/0 differs" in \
+            capsys.readouterr().out
+
 
 class TestStaticHelpers:
     def test_pow2_shift_mask(self):

@@ -194,3 +194,22 @@ class TestSelectResolution:
         for level in ("O0", "O2", "HAND"):
             lowered = lower_module(optimize(b.module, level))
             assert run_trips(lowered.program)[0] == expected, level
+
+
+class TestMemoryOrdering:
+    @pytest.mark.parametrize("level", ["O0", "O2"])
+    def test_younger_store_does_not_overtake_older_load(self, level):
+        """Write-after-read in one block: the store to data[0] holds a
+        higher load/store ID than the load of data[0], so the load must
+        see the old value however the dataflow orders them."""
+        b = Builder()
+        data = b.global_array("data", 2, 8, init_i64([5, 9]))
+        b.function("main", return_type=Type.I64)
+        t = b.load(data)
+        b.store(7, data)
+        u = b.load(b.add(data, 8))
+        b.store(b.add(t, 100), b.add(data, 8))
+        b.ret(b.add(b.mul(t, 1000), u))
+        assert run_module(b.module)[0] == 5009
+        lowered = lower_module(optimize(b.module, level))
+        assert run_trips(lowered.program)[0] == 5009
